@@ -29,11 +29,15 @@ echo "== lp-crashmc smoke: every discipline mutation is flagged (multi-threaded)
 cargo run --release -q -p lp-crashmc -- --mutations --budget exhaustive --threads 8
 
 echo "== lp-crashmc smoke: seeded fault campaign (torn+media+nested), deterministic across thread counts =="
-cargo run --release -q -p lp-crashmc -- --budget smoke --faults torn,media,nested --seed 42 --threads 2 > /tmp/lp_faults_t2.txt
+# The JSON report is also the referee for recovery itself: it must match
+# the committed results/fault_campaign_smoke.json byte for byte.
+cargo run --release -q -p lp-crashmc -- --budget smoke --faults torn,media,nested --seed 42 --threads 2 --report /tmp/lp_faults_t2.json > /tmp/lp_faults_t2.txt
 cargo run --release -q -p lp-crashmc -- --budget smoke --faults torn,media,nested --seed 42 --threads 4 > /tmp/lp_faults_t4.txt
 cmp /tmp/lp_faults_t2.txt /tmp/lp_faults_t4.txt \
   || { echo "fault campaign reports differ across thread counts"; exit 1; }
-rm -f /tmp/lp_faults_t2.txt /tmp/lp_faults_t4.txt
+cmp /tmp/lp_faults_t2.json results/fault_campaign_smoke.json \
+  || { echo "fault campaign JSON differs from results/fault_campaign_smoke.json"; exit 1; }
+rm -f /tmp/lp_faults_t2.txt /tmp/lp_faults_t4.txt /tmp/lp_faults_t2.json
 
 echo "== lp-crashmc smoke: LazyParity repair ladder (single-line poisons repair, bursts escalate, 0 corrupt) =="
 # Exit status enforces 0 corrupt / 0 stuck; the grep-derived sum enforces

@@ -44,8 +44,9 @@
 //!
 //! // Recovery detects the inconsistent region by checksum mismatch.
 //! let mut ctx = m.ctx(0);
+//! let slots = (0..64).map(|i| (out, i));
 //! let consistent = lp_core::recovery::region_consistent(
-//!     &mut ctx, &handles.table, 0, ChecksumKind::Modular, out, 0..64);
+//!     &mut ctx, &handles.table, 0, ChecksumKind::Modular, slots);
 //! assert!(!consistent);
 //! ```
 

@@ -81,12 +81,17 @@ pub fn range_poisoned<T: Scalar>(
         .any(|line| poisoned.binary_search(&line).is_ok())
 }
 
-/// Recompute the checksum of region values read through the timed context
-/// and compare it with the stored table entry for `key`.
+/// One region element in checksum fold order: the persistent array it
+/// lives in and its index. Regions that interleave several arrays (fft's
+/// re/im pair) list their slots across arrays in store order.
+pub type Slot<T> = (PArray<T>, usize);
+
+/// Recompute the checksum of a region's values, read through the timed
+/// context, and compare it with the stored table entry for `key`.
 ///
-/// The values are the elements `indices` of `arr`, folded in the same
-/// order normal execution folded them — checksum codes need not be
-/// commutative, so order is part of the contract.
+/// `slots` are the region's elements in the order normal execution folded
+/// them — checksum codes need not be commutative, so order is part of the
+/// contract. Each element costs one load plus `kind.cost_ops()` ALU ops.
 ///
 /// Returns `false` when the entry was never written (the sentinel case of
 /// Section IV: the region may not have been reached before the failure).
@@ -95,38 +100,15 @@ pub fn region_consistent<T: Scalar>(
     table: &ChecksumTable,
     key: usize,
     kind: ChecksumKind,
-    arr: PArray<T>,
-    indices: impl Iterator<Item = usize>,
+    slots: impl IntoIterator<Item = Slot<T>>,
 ) -> bool {
     let mut ck = RunningChecksum::new(kind);
     let ops = kind.cost_ops();
-    // Coalesce consecutive indices into runs and dispatch each run as one
-    // batched load-fold — the per-element load/fold/compute order (and so
-    // every cycle and checksum step) is identical to the element-at-a-time
-    // loop; kernels' blocked iterators are long contiguous runs in disguise.
-    let mut run: Option<(usize, usize)> = None; // (start, len)
-    for i in indices {
-        match run {
-            Some((start, len)) if start + len == i => run = Some((start, len + 1)),
-            Some((start, len)) => {
-                ctx.load_fold(arr, start, len, ops, |v: T| ck.update(v.to_bits64()));
-                run = Some((i, 1));
-            }
-            None => run = Some((i, 1)),
-        }
-    }
-    if let Some((start, len)) = run {
-        ctx.load_fold(arr, start, len, ops, |v: T| ck.update(v.to_bits64()));
+    for (arr, i) in slots {
+        ck.update(ctx.load(arr, i).to_bits64());
+        ctx.compute(ops);
     }
     table.matches(ctx, key, ck.value())
-}
-
-/// Recompute a checksum over values produced by a closure (for regions
-/// whose values span several arrays or need address arithmetic).
-pub fn recompute_checksum(kind: ChecksumKind, feed: impl FnOnce(&mut RunningChecksum)) -> u64 {
-    let mut ck = RunningChecksum::new(kind);
-    feed(&mut ck);
-    ck.value()
 }
 
 #[cfg(test)]
@@ -166,8 +148,7 @@ mod tests {
             &h.table,
             0,
             crate::checksum::ChecksumKind::Modular,
-            arr,
-            0..32
+            (0..32).map(|i| (arr, i))
         ));
     }
 
@@ -194,8 +175,7 @@ mod tests {
                 &h.table,
                 0,
                 crate::checksum::ChecksumKind::Modular,
-                arr,
-                0..32
+                (0..32).map(|i| (arr, i))
             ),
             "nothing persisted, so the region must verify as inconsistent"
         );
@@ -225,9 +205,15 @@ mod tests {
         m.drain_caches();
         let mut ctx = m.ctx(0);
         let kind = crate::checksum::ChecksumKind::Adler32;
-        assert!(region_consistent(&mut ctx, &h.table, 0, kind, arr, 0..4));
+        assert!(region_consistent(
+            &mut ctx,
+            &h.table,
+            0,
+            kind,
+            (0..4).map(|i| (arr, i))
+        ));
         assert!(
-            !region_consistent(&mut ctx, &h.table, 0, kind, arr, (0..4).rev()),
+            !region_consistent(&mut ctx, &h.table, 0, kind, (0..4).rev().map(|i| (arr, i))),
             "feeding values in the wrong order must not verify"
         );
     }
@@ -261,18 +247,5 @@ mod tests {
         assert_eq!(a.repair_failures, 1);
         assert_eq!(a.escalations, 1);
         assert_eq!(a.cycles, 150);
-    }
-
-    #[test]
-    fn recompute_checksum_closure_form() {
-        let kind = crate::checksum::ChecksumKind::Modular;
-        let v = recompute_checksum(kind, |ck| {
-            ck.update(1);
-            ck.update(2);
-        });
-        let mut ck = RunningChecksum::new(kind);
-        ck.update(1);
-        ck.update(2);
-        assert_eq!(v, ck.value());
     }
 }

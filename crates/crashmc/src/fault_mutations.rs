@@ -68,8 +68,7 @@ pub fn torn_blind_word() -> (CheckCase, FaultConfig) {
                         st.regions_checked += 1;
                         // The audit mirrors the commit-side bug: it folds
                         // only the first word, so it cannot see the other.
-                        let consistent =
-                            region_consistent(&mut ctx, &table, key, CK, arr, std::iter::once(i));
+                        let consistent = region_consistent(&mut ctx, &table, key, CK, [(arr, i)]);
                         if consistent {
                             continue;
                         }
@@ -152,7 +151,7 @@ pub fn poison_pattern_collision() -> (CheckCase, FaultConfig) {
                     // BUG: no `poisoned_lines()` quarantine — the audit
                     // reads the poison pattern as if it were data.
                     let mut ctx = m.ctx(0);
-                    if !region_consistent(&mut ctx, &table, KEY, CK, vals, 0..8) {
+                    if !region_consistent(&mut ctx, &table, KEY, CK, (0..8).map(|i| (vals, i))) {
                         st.regions_inconsistent = 1;
                         st.recomputed_regions = 1;
                         let mut ck = RunningChecksum::new(CK);

@@ -2,11 +2,8 @@
 //! store sinks (normal execution vs. eager recovery), thread partitioning,
 //! deterministic input generation, and run-result plumbing.
 
-use lp_core::checksum::{ChecksumKind, RunningChecksum};
 use lp_core::ep::EagerCommitter;
-use lp_core::parity::{lane_of, ParityArena, PARITY_FOLD_OPS};
 use lp_core::scheme::{RegionSession, ThreadPersist};
-use lp_core::table::ChecksumTable;
 use lp_sim::core::CoreCtx;
 use lp_sim::machine::{Machine, Outcome};
 use lp_sim::mem::{OutOfPersistentMemory, PArray};
@@ -224,68 +221,6 @@ impl StoreSink for SchemeSink<'_> {
     }
 }
 
-/// Recovery sink: stores eagerly (lines collected for a flush+fence
-/// commit) while recomputing the region checksum so the table can be
-/// repaired durably too.
-#[derive(Debug)]
-pub struct RecoverySink {
-    committer: EagerCommitter,
-    ck: RunningChecksum,
-    kind: ChecksumKind,
-    parity: Option<(ParityArena, [u64; 8])>,
-}
-
-impl RecoverySink {
-    /// A sink recomputing a `kind` checksum.
-    pub fn new(kind: ChecksumKind) -> Self {
-        RecoverySink {
-            committer: EagerCommitter::new(),
-            ck: RunningChecksum::new(kind),
-            kind,
-            parity: None,
-        }
-    }
-
-    /// A sink that also rebuilds the region's XOR parity line
-    /// (`LazyParity` recovery). The lanes are published durably *after*
-    /// the data and checksum are fenced — the R8 recovery ordering: parity
-    /// must never be observable ahead of the data it summarizes.
-    pub fn with_parity(kind: ChecksumKind, arena: ParityArena) -> Self {
-        RecoverySink {
-            committer: EagerCommitter::new(),
-            ck: RunningChecksum::new(kind),
-            kind,
-            parity: Some((arena, [0u64; 8])),
-        }
-    }
-
-    /// Flush all written lines, fence, then durably store the recomputed
-    /// checksum in `table[key]` (and, under `LazyParity`, the rebuilt
-    /// parity line — last, per rule R8).
-    pub fn commit(self, ctx: &mut CoreCtx<'_>, table: &ChecksumTable, key: usize) {
-        self.committer.commit(ctx);
-        table.store(ctx, key, self.ck.value());
-        table.persist(ctx, key);
-        if let Some((arena, lanes)) = self.parity {
-            arena.store_lanes(ctx, key, &lanes);
-            arena.persist(ctx, key);
-        }
-    }
-}
-
-impl StoreSink for RecoverySink {
-    fn store(&mut self, ctx: &mut CoreCtx<'_>, arr: PArray<f64>, idx: usize, v: f64) {
-        ctx.store(arr, idx, v);
-        self.committer.note(arr.addr(idx));
-        self.ck.update(v.to_bits());
-        ctx.compute(self.kind.cost_ops());
-        if let Some((_, lanes)) = &mut self.parity {
-            lanes[lane_of(arr.addr(idx))] ^= v.to_bits();
-            ctx.compute(PARITY_FOLD_OPS);
-        }
-    }
-}
-
 /// Recovery sink for marker-based schemes (no checksums): plain eager
 /// stores, flushed and fenced at commit, without touching any marker.
 #[derive(Debug, Default)]
@@ -456,29 +391,6 @@ mod tests {
             }
             assert!(a[i * n + i] > n as f64 * 0.5);
         }
-    }
-
-    #[test]
-    fn recovery_sink_persists_data_and_checksum() {
-        let mut m = machine();
-        let arr = m.alloc::<f64>(16).unwrap();
-        let table = ChecksumTable::alloc(&mut m, 4).unwrap();
-        {
-            let mut ctx = m.ctx(0);
-            let mut sink = RecoverySink::new(ChecksumKind::Modular);
-            for i in 0..16 {
-                sink.store(&mut ctx, arr, i, i as f64);
-            }
-            sink.commit(&mut ctx, &table, 2);
-        }
-        // Everything survives a crash: data and table entry.
-        m.mem_mut().force_crash();
-        m.mem_mut().acknowledge_crash();
-        for i in 0..16 {
-            assert_eq!(m.peek(arr, i), i as f64);
-        }
-        let expected = lp_core::checksum::checksum_f64s(ChecksumKind::Modular, &m.peek_vec(arr));
-        assert_eq!(table.peek(&m, 2), Some(expected));
     }
 
     #[test]

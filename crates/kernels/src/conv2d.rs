@@ -6,11 +6,11 @@
 //! trivial case — mismatching blocks are simply recomputed, in any order.
 
 use crate::common::{
-    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, RecoverySink, SchemeSink,
-    StoreSink, IDX_OPS, MUL_ADD_OPS,
+    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, SchemeSink, StoreSink,
+    IDX_OPS, MUL_ADD_OPS,
 };
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::RecoveryStats;
+use crate::ladder::{recover_regions, with_recovery, Region, RegionRecovery, Scan, Tally};
+use lp_core::recovery::{RecoveryStats, Slot};
 use lp_core::scheme::{Scheme, SchemeHandles};
 use lp_sim::addr::LineAddr;
 use lp_sim::config::MachineConfig;
@@ -290,178 +290,96 @@ impl Conv2d {
     pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
         match self.scheme {
             Scheme::Base => RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) => {
-                self.recover_lazy(machine, kind, false)
+            Scheme::Lazy(_) | Scheme::LazyEagerCk(_) | Scheme::LazyParity(_) => {
+                recover_regions(self, machine)
             }
-            Scheme::LazyParity(kind) => self.recover_lazy(machine, kind, true),
             Scheme::Eager | Scheme::Wal => self.recover_marker_based(machine),
         }
-    }
-
-    /// The element indices of `block`'s region in checksum fold order.
-    fn region_indices(&self, block: usize) -> Vec<usize> {
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        (block * bsize..(block + 1) * bsize)
-            .flat_map(|i| (0..n).map(move |j| self.output.idx(i, j)))
-            .collect()
-    }
-
-    fn recover_lazy(
-        &self,
-        machine: &mut Machine,
-        kind: ChecksumKind,
-        repair: bool,
-    ) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
-        let (n, bsize) = (self.params.n, self.params.bsize);
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        for block in 0..self.params.window() {
-            stats.regions_checked += 1;
-            let mut rung1_failed = false;
-            // A poisoned block is never trusted — poison reads as a fixed
-            // pattern that a weak code can collide with. Under `LazyParity`
-            // rung 1 reconstructs a single lost line from the block's
-            // parity and re-verifies before anything is written back;
-            // otherwise (or when reconstruction fails) the block is
-            // quarantined and recomputed unconditionally.
-            if self.block_poisoned(&poisoned, block) {
-                let repaired = repair
-                    && match lp_core::parity::try_poison_repair(
-                        &mut ctx,
-                        &self.handles.table,
-                        &self.handles.parity,
-                        block,
-                        kind,
-                        self.output.array(),
-                        &self.region_indices(block),
-                        &poisoned,
-                    ) {
-                        lp_core::parity::RepairVerdict::Repaired => {
-                            stats.repaired_lines += 1;
-                            true
-                        }
-                        lp_core::parity::RepairVerdict::Failed => {
-                            stats.repair_failures += 1;
-                            false
-                        }
-                        lp_core::parity::RepairVerdict::Clean => false,
-                    };
-                if !repaired {
-                    if repair {
-                        stats.escalations += 1;
-                    }
-                    stats.regions_quarantined += 1;
-                    let mut sink = if repair {
-                        RecoverySink::with_parity(kind, self.handles.parity)
-                    } else {
-                        RecoverySink::new(kind)
-                    };
-                    self.region_body(&mut ctx, block, &mut sink);
-                    sink.commit(&mut ctx, &self.handles.table, block);
-                    stats.recomputed_regions += 1;
-                    continue;
-                }
-            }
-            {
-                let out = self.output;
-                let indices = (block * bsize..(block + 1) * bsize)
-                    .flat_map(move |i| (0..n).map(move |j| out.idx(i, j)));
-                let consistent = lp_core::recovery::region_consistent(
-                    &mut ctx,
-                    &self.handles.table,
-                    block,
-                    kind,
-                    self.output.array(),
-                    indices,
-                );
-                if consistent {
-                    continue;
-                }
-                stats.regions_inconsistent += 1;
-                if repair {
-                    // Rung 1 for a silent mismatch: one flipped line is
-                    // reconstructible from the block's parity.
-                    if lp_core::parity::try_mismatch_repair(
-                        &mut ctx,
-                        &self.handles.table,
-                        &self.handles.parity,
-                        block,
-                        kind,
-                        self.output.array(),
-                        &self.region_indices(block),
-                    ) {
-                        stats.repaired_lines += 1;
-                        continue;
-                    }
-                    stats.repair_failures += 1;
-                    rung1_failed = true;
-                }
-            }
-            if rung1_failed {
-                stats.escalations += 1;
-            }
-            let mut sink = if repair {
-                RecoverySink::with_parity(kind, self.handles.parity)
-            } else {
-                RecoverySink::new(kind)
-            };
-            self.region_body(&mut ctx, block, &mut sink);
-            sink.commit(&mut ctx, &self.handles.table, block);
-            stats.recomputed_regions += 1;
-        }
-        stats.cycles = ctx.now() - start;
-        stats
     }
 
     /// EP/WAL recovery: undo any open transaction, then re-run every block
     /// past each thread's marker (idempotent, so partial work is harmless).
     fn recover_marker_based(&self, machine: &mut Machine) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
         let owners = self.ownership();
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        for (t, owned) in owners.iter().enumerate() {
-            let tp = self.handles.thread(t);
-            tp.wal_recover(&mut ctx);
-            // Read the marker only after the rollback: a WAL commit logs
-            // the marker's undo pair, so undoing an interrupted
-            // transaction rewinds the marker with it (no-op under EP).
-            let marker = tp.marker(&mut ctx);
-            let completed = if marker == 0 {
-                0
-            } else {
-                owned
-                    .iter()
-                    .position(|&b| b == (marker - 1) as usize)
-                    .map_or(0, |p| p + 1)
-            };
-            stats.regions_checked += owned.len() as u64;
-            // Committed blocks hit by a media fault are recomputed too:
-            // the marker vouches for progress, not for the medium. Blocks
-            // are idempotent, so a plain eager re-run (no marker motion)
-            // is safe to interrupt and repeat at any crash point.
-            for &block in &owned[..completed] {
-                if self.block_poisoned(&poisoned, block) {
-                    stats.regions_quarantined += 1;
-                    let mut sink = EagerOnlySink::default();
-                    self.region_body(&mut ctx, block, &mut sink);
-                    sink.commit(&mut ctx);
+        with_recovery(machine, |ctx, poisoned, stats| {
+            for (t, owned) in owners.iter().enumerate() {
+                let tp = self.handles.thread(t);
+                tp.wal_recover(ctx);
+                // Read the marker only after the rollback: a WAL commit
+                // logs the marker's undo pair, so undoing an interrupted
+                // transaction rewinds the marker with it (no-op under EP).
+                let marker = tp.marker(ctx);
+                let completed = if marker == 0 {
+                    0
+                } else {
+                    owned
+                        .iter()
+                        .position(|&b| b == (marker - 1) as usize)
+                        .map_or(0, |p| p + 1)
+                };
+                stats.regions_checked += owned.len() as u64;
+                // Committed blocks hit by a media fault are recomputed too:
+                // the marker vouches for progress, not for the medium.
+                // Blocks are idempotent, so a plain eager re-run (no marker
+                // motion) is safe to interrupt and repeat at any crash
+                // point.
+                for &block in &owned[..completed] {
+                    if self.block_poisoned(poisoned, block) {
+                        stats.regions_quarantined += 1;
+                        let mut sink = EagerOnlySink::default();
+                        self.region_body(ctx, block, &mut sink);
+                        sink.commit(ctx);
+                        stats.recomputed_regions += 1;
+                    }
+                }
+                for &block in &owned[completed..] {
+                    let mut rs = tp.begin(ctx, block);
+                    let mut sink = SchemeSink { tp, rs: &mut rs };
+                    self.region_body(ctx, block, &mut sink);
+                    tp.commit(ctx, rs);
                     stats.recomputed_regions += 1;
                 }
             }
-            for &block in &owned[completed..] {
-                let mut rs = tp.begin(&mut ctx, block);
-                let mut sink = SchemeSink { tp, rs: &mut rs };
-                self.region_body(&mut ctx, block, &mut sink);
-                tp.commit(&mut ctx, rs);
-                stats.recomputed_regions += 1;
-            }
-        }
-        stats.cycles = ctx.now() - start;
-        stats
+        })
+    }
+}
+
+/// The ladder facts: every window block is a group of one region.
+/// Regions are idempotent, so recomputing one needs no reset, and a
+/// poisoned block is rebuilt without trusting its checksum.
+impl RegionRecovery for Conv2d {
+    const SCAN: Scan = Scan::Every;
+    const TALLY: Tally = Tally::UnitChecked;
+
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
+    }
+
+    fn groups(&self) -> usize {
+        self.params.window()
+    }
+
+    fn steps(&self, _block: usize) -> usize {
+        1
+    }
+
+    fn region_key(&self, r: Region) -> usize {
+        r.group
+    }
+
+    fn region_slots(&self, r: Region) -> impl Iterator<Item = Slot<f64>> + '_ {
+        let (n, bsize) = (self.params.n, self.params.bsize);
+        let out = self.output;
+        (r.group * bsize..(r.group + 1) * bsize)
+            .flat_map(move |i| (0..n).map(move |j| (out.array(), out.idx(i, j))))
+    }
+
+    fn group_poisoned(&self, poisoned: &[LineAddr], block: usize, _step: Option<usize>) -> bool {
+        self.block_poisoned(poisoned, block)
+    }
+
+    fn replay_region<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, r: Region, sink: &mut S) {
+        self.region_body(ctx, r.group, sink);
     }
 }
 

@@ -24,12 +24,15 @@
 //! reuse that Section III-E's associativity discussion anticipates.
 
 use crate::common::{
-    random_values, round_robin_blocks, KernelRun, RecoverySink, SchemeSink, StoreSink, IDX_OPS,
-    MUL_ADD_OPS,
+    random_values, round_robin_blocks, KernelRun, SchemeSink, StoreSink, IDX_OPS, MUL_ADD_OPS,
 };
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::{range_poisoned, recompute_checksum, RecoveryStats};
+use crate::ladder::{
+    recover_regions, with_recovery, RecoverySink, Region, RegionRecovery, Scan, Trust,
+};
+use lp_core::checksum::{ChecksumKind, RunningChecksum};
+use lp_core::recovery::{range_poisoned, RecoveryStats, Slot};
 use lp_core::scheme::{Scheme, SchemeHandles};
+use lp_core::table::ChecksumTable;
 use lp_sim::addr::LineAddr;
 use lp_sim::config::MachineConfig;
 use lp_sim::core::CoreCtx;
@@ -406,220 +409,108 @@ impl Fft {
             || range_poisoned(poisoned, dst.im, 0, self.params.n)
     }
 
-    /// Fold region `(stage, chunk)`'s checksum from current data.
-    fn fold_region(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        stage: usize,
-        chunk: usize,
-    ) -> u64 {
-        let len = self.params.chunk_len();
-        let dst = self.dst(stage);
-        let mut values = Vec::with_capacity(2 * len);
-        for i in chunk * len..(chunk + 1) * len {
-            values.push(ctx.load(dst.re, i));
-            values.push(ctx.load(dst.im, i));
-            ctx.compute(2 * kind.cost_ops());
-        }
-        recompute_checksum(kind, |ck| {
-            for v in values {
-                ck.update(v.to_bits());
-            }
-        })
-    }
-
-    /// Whether every chunk of `stage` matches its stored checksum.
-    fn stage_consistent(&self, ctx: &mut CoreCtx<'_>, kind: ChecksumKind, stage: usize) -> bool {
-        (0..self.params.chunks).all(|chunk| {
-            let folded = self.fold_region(ctx, kind, stage, chunk);
-            self.handles
-                .table
-                .matches(ctx, self.key(stage, chunk), folded)
-        })
-    }
-
-    /// The elements of region `(stage, chunk)` in checksum fold order —
-    /// interleaved across the destination's `re`/`im` pair, exactly as
-    /// [`Self::fold_region`] and the forward stores walk them.
-    fn region_slots(&self, stage: usize, chunk: usize) -> Vec<lp_core::parity::Slot<f64>> {
-        let len = self.params.chunk_len();
-        let dst = self.dst(stage);
-        (chunk * len..(chunk + 1) * len)
-            .flat_map(|i| [(dst.re, i), (dst.im, i)])
-            .collect()
-    }
-
-    /// Rung 1 for a poisoned stage under `LazyParity`: attempt a parity
-    /// reconstruction in every chunk (chunks not covering a poisoned line
-    /// report `Clean` and cost nothing). Returns `true` only when every
-    /// affected chunk repaired — the stage then rejoins the normal
-    /// consistency audit; any failure records the escalation and the
-    /// caller quarantines the stage for replay.
-    fn stage_poison_repair(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        stage: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        let mut all = true;
-        for chunk in 0..self.params.chunks {
-            match lp_core::parity::try_poison_repair_slots(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(stage, chunk),
-                kind,
-                &self.region_slots(stage, chunk),
-                poisoned,
-            ) {
-                lp_core::parity::RepairVerdict::Repaired => stats.repaired_lines += 1,
-                lp_core::parity::RepairVerdict::Clean => {}
-                lp_core::parity::RepairVerdict::Failed => {
-                    stats.repair_failures += 1;
-                    all = false;
-                }
-            }
-        }
-        if !all {
-            stats.escalations += 1;
-        }
-        all
-    }
-
-    /// [`Self::stage_consistent`] with the rung-1 mismatch repair spliced
-    /// in: a chunk that fails its audit gets one parity-reconstruction
-    /// attempt before the stage is declared inconsistent. Unlike the plain
-    /// audit this never short-circuits — every chunk is examined so every
-    /// repairable flip in the stage is actually repaired.
-    fn stage_repair_consistent(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        stage: usize,
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        let mut ok = true;
-        for chunk in 0..self.params.chunks {
-            let folded = self.fold_region(ctx, kind, stage, chunk);
-            if self
-                .handles
-                .table
-                .matches(ctx, self.key(stage, chunk), folded)
-            {
-                continue;
-            }
-            if lp_core::parity::try_mismatch_repair_slots(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(stage, chunk),
-                kind,
-                &self.region_slots(stage, chunk),
-            ) {
-                stats.repaired_lines += 1;
-            } else {
-                stats.repair_failures += 1;
-                ok = false;
-            }
-        }
-        if !ok {
-            stats.escalations += 1;
-        }
-        ok
-    }
-
     /// Post-crash recovery: replay from the newest fully consistent stage
     /// (or from the preserved input).
     pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
-        let (kind, repair) = match self.scheme {
-            Scheme::Base => return RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) => (kind, false),
-            Scheme::LazyParity(kind) => (kind, true),
+        match self.scheme {
+            Scheme::Base => RecoveryStats::default(),
+            Scheme::Lazy(_) | Scheme::LazyEagerCk(_) | Scheme::LazyParity(_) => {
+                recover_regions(self, machine)
+            }
             // EP/WAL: undo any open tx, then full eager replay from input.
-            Scheme::Eager | Scheme::Wal => {
-                let mut stats = RecoveryStats::default();
-                let poisoned = machine.mem().poisoned_lines();
-                let mut ctx = machine.ctx(0);
-                let start = ctx.now();
+            Scheme::Eager | Scheme::Wal => with_recovery(machine, |ctx, poisoned, stats| {
                 for t in 0..self.params.threads {
                     let tp = self.handles.thread(t);
-                    if tp.wal_recover(&mut ctx) > 0 {
+                    if tp.wal_recover(ctx) > 0 {
                         stats.regions_inconsistent += 1;
                     }
                 }
                 // The full replay below rewrites every buffer line (and
                 // thereby scrubs any poison); just account for it.
                 for stage in 0..self.params.window() {
-                    if self.stage_poisoned(&poisoned, stage) {
+                    if self.stage_poisoned(poisoned, stage) {
                         stats.regions_quarantined += 1;
                     }
                 }
-                self.replay_from(&mut ctx, ChecksumKind::Modular, 0, &mut stats, false);
-                stats.cycles = ctx.now() - start;
-                return stats;
-            }
-        };
-        let mut stats = RecoveryStats::default();
-        let window = self.params.window();
-        let poisoned = machine.mem().poisoned_lines();
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        let mut resume = 0;
-        for stage in (0..window).rev() {
-            // A stage whose destination holds a poisoned line cannot be
-            // trusted regardless of its checksums: quarantine it and keep
-            // scanning, so the replay below fully rewrites it — unless
-            // (`LazyParity`) rung 1 repairs every affected chunk, in which
-            // case the stage rejoins the audit below on its own merits.
-            if self.stage_poisoned(&poisoned, stage)
-                && !(repair
-                    && self.stage_poison_repair(&mut ctx, kind, stage, &poisoned, &mut stats))
-            {
-                stats.regions_quarantined += 1;
-                continue;
-            }
-            stats.regions_checked += self.params.chunks as u64;
-            let consistent = if repair {
-                self.stage_repair_consistent(&mut ctx, kind, stage, &mut stats)
-            } else {
-                self.stage_consistent(&mut ctx, kind, stage)
-            };
-            if consistent {
-                resume = stage + 1;
-                break;
-            }
-            stats.regions_inconsistent += 1;
+                for stage in 0..self.params.window() {
+                    for chunk in 0..self.params.chunks {
+                        // The recovery sink serves for its eager commit;
+                        // the checksum store is harmless here.
+                        let mut sink = RecoverySink::new(ChecksumKind::Modular);
+                        self.region_body(ctx, stage, chunk, &mut sink);
+                        sink.commit(ctx, &self.handles.table, self.key(stage, chunk));
+                        stats.recomputed_regions += 1;
+                    }
+                }
+            }),
         }
-        self.replay_from(&mut ctx, kind, resume, &mut stats, repair);
-        stats.cycles = ctx.now() - start;
-        stats
+    }
+}
+
+/// The ladder facts: one group, the stage chain, whose steps are the
+/// stages (newest-first: each overwrites a ping-pong buffer an earlier
+/// stage needs) and whose parts are a stage's chunks. A stage is only
+/// consistent when every chunk is, and a poisoned stage is quarantined
+/// alone: the scan continues below it and the replay fully rewrites it.
+impl RegionRecovery for Fft {
+    const SCAN: Scan = Scan::NewestFirst;
+    const TRUST: Trust = Trust::Step;
+
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
     }
 
-    /// Eagerly re-execute stages `from..window`, repairing checksums (and,
-    /// under `repair`, the parity lines alongside them).
-    fn replay_from(
+    fn groups(&self) -> usize {
+        1
+    }
+
+    fn steps(&self, _group: usize) -> usize {
+        self.params.window()
+    }
+
+    fn parts(&self) -> usize {
+        self.params.chunks
+    }
+
+    fn region_key(&self, r: Region) -> usize {
+        self.key(r.step, r.part)
+    }
+
+    /// Interleaved across the destination's `re`/`im` pair, exactly as
+    /// the forward stores walk them.
+    fn region_slots(&self, r: Region) -> impl Iterator<Item = Slot<f64>> + '_ {
+        let len = self.params.chunk_len();
+        let dst = self.dst(r.step);
+        (r.part * len..(r.part + 1) * len).flat_map(move |i| [(dst.re, i), (dst.im, i)])
+    }
+
+    /// The fold charges the checksum ops once per re/im pair, after both
+    /// loads — a cycle apart from the generic per-element fold.
+    fn region_matches(
         &self,
         ctx: &mut CoreCtx<'_>,
+        table: &ChecksumTable,
         kind: ChecksumKind,
-        from: usize,
-        stats: &mut RecoveryStats,
-        repair: bool,
-    ) {
-        for stage in from..self.params.window() {
-            for chunk in 0..self.params.chunks {
-                let mut sink = if repair {
-                    RecoverySink::with_parity(kind, self.handles.parity)
-                } else {
-                    RecoverySink::new(kind)
-                };
-                self.region_body(ctx, stage, chunk, &mut sink);
-                sink.commit(ctx, &self.handles.table, self.key(stage, chunk));
-                stats.recomputed_regions += 1;
-            }
+        r: Region,
+    ) -> bool {
+        let len = self.params.chunk_len();
+        let dst = self.dst(r.step);
+        let mut ck = RunningChecksum::new(kind);
+        for i in r.part * len..(r.part + 1) * len {
+            let (re, im): (f64, f64) = (ctx.load(dst.re, i), ctx.load(dst.im, i));
+            ctx.compute(2 * kind.cost_ops());
+            ck.update(re.to_bits());
+            ck.update(im.to_bits());
         }
+        table.matches(ctx, self.region_key(r), ck.value())
+    }
+
+    fn group_poisoned(&self, poisoned: &[LineAddr], _group: usize, stage: Option<usize>) -> bool {
+        stage.is_some_and(|s| self.stage_poisoned(poisoned, s))
+    }
+
+    fn replay_region<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, r: Region, sink: &mut S) {
+        self.region_body(ctx, r.step, r.part, sink);
     }
 }
 

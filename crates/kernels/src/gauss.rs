@@ -18,11 +18,11 @@
 //! everything if nothing consistent survived.
 
 use crate::common::{
-    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, RecoverySink, SchemeSink,
-    StoreSink, IDX_OPS, MUL_ADD_OPS,
+    random_values, round_robin_blocks, EagerOnlySink, KernelRun, PMatrix, SchemeSink, StoreSink,
+    IDX_OPS, MUL_ADD_OPS,
 };
-use lp_core::checksum::ChecksumKind;
-use lp_core::recovery::{recompute_checksum, RecoveryStats};
+use crate::ladder::{recover_regions, with_recovery, Region, RegionRecovery, Scan};
+use lp_core::recovery::{RecoveryStats, Slot};
 use lp_core::scheme::{Scheme, SchemeHandles};
 use lp_sim::addr::LineAddr;
 use lp_sim::config::MachineConfig;
@@ -345,30 +345,6 @@ impl Gauss {
         })
     }
 
-    /// Fold the checksum of region `(p, block)` from current data, in the
-    /// exact store order of [`Gauss::region_body`].
-    fn fold_region(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        p: usize,
-        block: usize,
-    ) -> u64 {
-        let n = self.params.n;
-        let mut values = Vec::new();
-        for r in Self::region_rows(&self.params, p, block) {
-            for j in p..n {
-                values.push(self.w.load(ctx, r, j));
-                ctx.compute(kind.cost_ops());
-            }
-        }
-        recompute_checksum(kind, |ck| {
-            for v in values {
-                ck.update(v.to_bits());
-            }
-        })
-    }
-
     /// Restore a block's rows from the original input, eagerly.
     fn restore_block_from_input(&self, ctx: &mut CoreCtx<'_>, block: usize) {
         let (n, bsize) = (self.params.n, self.params.bsize);
@@ -382,155 +358,15 @@ impl Gauss {
         ctx.sfence();
     }
 
-    /// The element indices of region `(p, block)` in checksum fold order.
-    fn region_indices(&self, p: usize, block: usize) -> Vec<usize> {
-        let n = self.params.n;
-        Self::region_rows(&self.params, p, block)
-            .flat_map(|r| (p..n).map(move |j| self.w.idx(r, j)))
-            .collect()
-    }
-
-    /// Rung 1 for a poisoned block under `LazyParity`: scan pivots
-    /// newest-first for a committed region whose parity line reconstructs
-    /// the offending line bit-exactly (stale pivots fail re-verification;
-    /// lines straddling the multiplier columns below the pivot are only
-    /// partially owned and refuse reconstruction). Returns `true` on
-    /// repair; `false` records the escalation to rung 2.
-    fn block_poison_repair(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        block: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-    ) -> bool {
-        for p in (0..self.params.pivot_window).rev() {
-            if Self::region_rows(&self.params, p, block).is_empty() {
-                continue;
-            }
-            match lp_core::parity::try_poison_repair(
-                ctx,
-                &self.handles.table,
-                &self.handles.parity,
-                self.key(p, block),
-                kind,
-                self.w.array(),
-                &self.region_indices(p, block),
-                poisoned,
-            ) {
-                lp_core::parity::RepairVerdict::Repaired => {
-                    stats.repaired_lines += 1;
-                    return true;
-                }
-                lp_core::parity::RepairVerdict::Failed => stats.repair_failures += 1,
-                lp_core::parity::RepairVerdict::Clean => break,
-            }
-        }
-        stats.escalations += 1;
-        false
-    }
-
-    /// Recover one block: newest-first scan of its pivot checksums, then
-    /// replay of the later pivots (or everything, from the input). With
-    /// `repair` (`LazyParity`), the rung-1 parity repair runs before any
-    /// quarantine or recompute decision.
-    fn recover_block(
-        &self,
-        ctx: &mut CoreCtx<'_>,
-        kind: ChecksumKind,
-        block: usize,
-        poisoned: &[LineAddr],
-        stats: &mut RecoveryStats,
-        repair: bool,
-    ) {
-        let window = self.params.pivot_window;
-        let mut resume = 0;
-        let mut quarantined = false;
-        if self.block_poisoned(poisoned, block)
-            && !(repair && self.block_poison_repair(ctx, kind, block, poisoned, stats))
-        {
-            // Media fault inside the block that rung 1 could not (or,
-            // without parity, cannot) localize and reconstruct: poison
-            // reads as a fixed pattern a weak code can collide with, so no
-            // checksum verdict is trusted — quarantine, restore from the
-            // preserved input, and replay every pivot. The replay stores
-            // fresh checksums, so a crash mid-rebuild re-enters through
-            // the normal scan even after the rebuild's own writes scrub
-            // the poison.
-            stats.regions_quarantined += 1;
-            quarantined = true;
-        }
-        if !quarantined {
-            let mut rung1_failed = false;
-            for p in (0..window).rev() {
-                if Self::region_rows(&self.params, p, block).is_empty() {
-                    continue;
-                }
-                stats.regions_checked += 1;
-                let folded = self.fold_region(ctx, kind, p, block);
-                if self.handles.table.matches(ctx, self.key(p, block), folded) {
-                    resume = p + 1;
-                    break;
-                }
-                stats.regions_inconsistent += 1;
-                if repair {
-                    // Rung 1 for a silent mismatch: one flipped line of
-                    // pivot state `p` is reconstructible from its parity.
-                    if lp_core::parity::try_mismatch_repair(
-                        ctx,
-                        &self.handles.table,
-                        &self.handles.parity,
-                        self.key(p, block),
-                        kind,
-                        self.w.array(),
-                        &self.region_indices(p, block),
-                    ) {
-                        stats.repaired_lines += 1;
-                        resume = p + 1;
-                        break;
-                    }
-                    stats.repair_failures += 1;
-                    rung1_failed = true;
-                }
-            }
-            if rung1_failed && resume < window {
-                stats.escalations += 1;
-            }
-        }
-        if resume == 0 {
-            self.restore_block_from_input(ctx, block);
-        }
-        for p in resume..window {
-            if Self::region_rows(&self.params, p, block).is_empty() {
-                continue;
-            }
-            let mut sink = if repair {
-                RecoverySink::with_parity(kind, self.handles.parity)
-            } else {
-                RecoverySink::new(kind)
-            };
-            self.region_body(ctx, p, block, &mut sink);
-            sink.commit(ctx, &self.handles.table, self.key(p, block));
-            stats.recomputed_regions += 1;
-        }
-    }
-
-    /// Post-crash recovery, dispatched by scheme.
+    /// Post-crash recovery, dispatched by scheme. Lazy schemes scan each
+    /// block's pivot checksums newest-first and replay the later pivots
+    /// (or everything, from the input); block 0, which holds every pivot
+    /// row of the window, recovers first.
     pub fn recover(&self, machine: &mut Machine) -> RecoveryStats {
         match self.scheme {
             Scheme::Base => RecoveryStats::default(),
-            Scheme::Lazy(kind) | Scheme::LazyEagerCk(kind) | Scheme::LazyParity(kind) => {
-                let repair = matches!(self.scheme, Scheme::LazyParity(_));
-                let mut stats = RecoveryStats::default();
-                let poisoned = machine.mem().poisoned_lines();
-                let mut ctx = machine.ctx(0);
-                let start = ctx.now();
-                // Block 0 first: it holds every pivot row of the window.
-                for block in 0..self.params.nblocks() {
-                    self.recover_block(&mut ctx, kind, block, &poisoned, &mut stats, repair);
-                }
-                stats.cycles = ctx.now() - start;
-                stats
+            Scheme::Lazy(_) | Scheme::LazyEagerCk(_) | Scheme::LazyParity(_) => {
+                recover_regions(self, machine)
             }
             Scheme::Eager | Scheme::Wal => self.recover_marker_based(machine),
         }
@@ -542,50 +378,92 @@ impl Gauss {
     /// partially-evicted in-flight region poisons replay state, so blocks
     /// are rebuilt from the preserved input.)
     fn recover_marker_based(&self, machine: &mut Machine) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        let poisoned = machine.mem().poisoned_lines();
         let owners = self.ownership();
         let window = self.params.pivot_window;
-        // The full rebuild below repairs media faults as a side effect;
-        // count the quarantined blocks so campaigns see the detection.
-        stats.regions_quarantined += (0..self.params.nblocks())
-            .filter(|&b| self.block_poisoned(&poisoned, b))
-            .count() as u64;
-        let mut ctx = machine.ctx(0);
-        let start = ctx.now();
-        for t in 0..self.params.threads {
-            let tp = self.handles.thread(t);
-            if tp.wal_recover(&mut ctx) > 0 {
-                stats.regions_inconsistent += 1;
-            }
-        }
-        // Restore every block, then replay pivots in order (single
-        // recovery thread, eager persistency).
-        for block in 0..self.params.nblocks() {
-            self.restore_block_from_input(&mut ctx, block);
-        }
-        // One sink across the whole replay: successive pivots rewrite
-        // overlapping block rows, so a single deduplicated commit at the
-        // end flushes each touched line once (and fences once) instead
-        // of per region. Nothing publishes progress during the replay —
-        // a crash mid-recovery restarts from the preserved input — so
-        // deferring durability to the end is safe.
-        let mut sink = EagerOnlySink::default();
-        for p in 0..window {
-            for owned in &owners {
-                for &block in owned {
-                    if Self::region_rows(&self.params, p, block).is_empty() {
-                        continue;
-                    }
-                    stats.regions_checked += 1;
-                    self.region_body(&mut ctx, p, block, &mut sink);
-                    stats.recomputed_regions += 1;
+        with_recovery(machine, |ctx, poisoned, stats| {
+            // The full rebuild below repairs media faults as a side effect;
+            // count the quarantined blocks so campaigns see the detection.
+            stats.regions_quarantined += (0..self.params.nblocks())
+                .filter(|&b| self.block_poisoned(poisoned, b))
+                .count() as u64;
+            for t in 0..self.params.threads {
+                let tp = self.handles.thread(t);
+                if tp.wal_recover(ctx) > 0 {
+                    stats.regions_inconsistent += 1;
                 }
             }
-        }
-        sink.commit(&mut ctx);
-        stats.cycles = ctx.now() - start;
-        stats
+            // Restore every block, then replay pivots in order (single
+            // recovery thread, eager persistency).
+            for block in 0..self.params.nblocks() {
+                self.restore_block_from_input(ctx, block);
+            }
+            // One sink across the whole replay: successive pivots rewrite
+            // overlapping block rows, so a single deduplicated commit at
+            // the end flushes each touched line once (and fences once)
+            // instead of per region. Nothing publishes progress during the
+            // replay — a crash mid-recovery restarts from the preserved
+            // input — so deferring durability to the end is safe.
+            let mut sink = EagerOnlySink::default();
+            for p in 0..window {
+                for owned in &owners {
+                    for &block in owned {
+                        if Self::region_rows(&self.params, p, block).is_empty() {
+                            continue;
+                        }
+                        stats.regions_checked += 1;
+                        self.region_body(ctx, p, block, &mut sink);
+                        stats.recomputed_regions += 1;
+                    }
+                }
+            }
+            sink.commit(ctx);
+        })
+    }
+}
+
+/// The ladder facts: a group is a row block, its steps the pivots, each
+/// rewriting the block's trailing columns — newest-first. Block 0's last
+/// pivot region is empty when the window spans the whole block; empty
+/// regions only ever trail, so a block's steps are the non-empty prefix.
+impl RegionRecovery for Gauss {
+    const SCAN: Scan = Scan::NewestFirst;
+
+    fn handles(&self) -> &SchemeHandles {
+        &self.handles
+    }
+
+    fn groups(&self) -> usize {
+        self.params.nblocks()
+    }
+
+    fn steps(&self, block: usize) -> usize {
+        (0..self.params.pivot_window)
+            .filter(|&p| !Self::region_rows(&self.params, p, block).is_empty())
+            .count()
+    }
+
+    fn region_key(&self, r: Region) -> usize {
+        self.key(r.step, r.group)
+    }
+
+    fn region_slots(&self, r: Region) -> impl Iterator<Item = Slot<f64>> + '_ {
+        let (n, p) = (self.params.n, r.step);
+        Self::region_rows(&self.params, p, r.group)
+            .flat_map(move |row| (p..n).map(move |j| (self.w.array(), self.w.idx(row, j))))
+    }
+
+    /// Poison anywhere in the block's rows — pivot rows and multiplier
+    /// columns no checksum of the current state covers included.
+    fn group_poisoned(&self, poisoned: &[LineAddr], block: usize, _step: Option<usize>) -> bool {
+        self.block_poisoned(poisoned, block)
+    }
+
+    fn restore_group(&self, ctx: &mut CoreCtx<'_>, block: usize, _quarantined: bool) {
+        self.restore_block_from_input(ctx, block);
+    }
+
+    fn replay_region<S: StoreSink>(&self, ctx: &mut CoreCtx<'_>, r: Region, sink: &mut S) {
+        self.region_body(ctx, r.step, r.group, sink);
     }
 }
 

@@ -134,6 +134,28 @@ mod tests {
         assert!(names.contains(&"ep.rs".to_string()), "{names:?}");
         assert!(names.contains(&"tmm.rs".to_string()), "{names:?}");
         assert!(targets.len() >= 8, "{names:?}");
+        // The recovery ladder owns the R7 progress and R8 parity-publish
+        // orderings for every kernel: its functions must be analyzed in
+        // recovery context, or S4 and S7 silently stop checking them.
+        let ladder = targets
+            .iter()
+            .find(|p| p.ends_with("crates/kernels/src/ladder.rs"))
+            .unwrap_or_else(|| panic!("recovery ladder not linted: {names:?}"));
+        let src = std::fs::read_to_string(ladder).unwrap();
+        let cfg = LintConfig::default();
+        let file = parser::parse_file(&src, "ladder", &cfg);
+        for name in [
+            "recover_regions",
+            "with_recovery",
+            "Ladder::recover_group",
+            "Ladder::audit_and_repair",
+            "Ladder::repair_poison",
+            "RecoverySink::commit",
+        ] {
+            let f = file.fns.iter().find(|f| f.name == name);
+            let f = f.unwrap_or_else(|| panic!("{name} not parsed from ladder.rs"));
+            assert_eq!(f.context, config::FnContext::Recovery, "{name}");
+        }
     }
 
     #[test]

@@ -17,6 +17,18 @@ use crate::mem::Nvmm;
 use crate::observe::{MemEvent, ObserverSlot, RegionId, SharedSink};
 use crate::stats::{MemStats, WriteCause};
 
+/// A dirty line and where its freshest copy lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirtyLine {
+    /// The line address.
+    pub line: LineAddr,
+    /// Core whose L1 holds the freshest (Modified) copy, if any; `None`
+    /// means the dirty copy is in the L2.
+    pub owner: Option<usize>,
+    /// Cycle at which the line became dirty.
+    pub dirty_since: u64,
+}
+
 /// When the simulated machine should lose power.
 ///
 /// Triggers fire while the workload runs; once fired, every subsequent
@@ -714,9 +726,9 @@ impl MemSystem {
         self.l2.resident()
     }
 
-    /// Enumerate every dirty line with its location metadata (see
-    /// [`crate::debug::dirty_inventory`] for the sorted, user-facing view).
-    pub fn collect_dirty_lines(&self) -> Vec<crate::debug::DirtyLine> {
+    /// Enumerate every dirty line with its location metadata, in L2 way
+    /// order — the data a crash right now would lose.
+    pub fn collect_dirty_lines(&self) -> Vec<DirtyLine> {
         let mut out = Vec::new();
         self.collect_dirty_lines_into(&mut out);
         out
@@ -724,13 +736,13 @@ impl MemSystem {
 
     /// [`MemSystem::collect_dirty_lines`] into a caller-owned buffer
     /// (cleared first), so tight loops can reuse the allocation.
-    pub fn collect_dirty_lines_into(&self, out: &mut Vec<crate::debug::DirtyLine>) {
+    pub fn collect_dirty_lines_into(&self, out: &mut Vec<DirtyLine>) {
         out.clear();
         for idx in self.l2.valid_ways() {
             let w = self.l2.way(idx);
-            let mut entry: Option<crate::debug::DirtyLine> = None;
+            let mut entry: Option<DirtyLine> = None;
             if w.dirty {
-                entry = Some(crate::debug::DirtyLine {
+                entry = Some(DirtyLine {
                     line: w.line,
                     owner: None,
                     dirty_since: w.dirty_since,
@@ -742,7 +754,7 @@ impl MemSystem {
                     if w1.state == Mesi::Modified {
                         let since =
                             entry.map_or(w1.dirty_since, |e| e.dirty_since.min(w1.dirty_since));
-                        entry = Some(crate::debug::DirtyLine {
+                        entry = Some(DirtyLine {
                             line: w.line,
                             owner: Some(o),
                             dirty_since: since,
